@@ -13,7 +13,7 @@ from .game import (
     load_game_file,
     loss_vector,
 )
-from .learning import LearnerBank, apply_update, current_distribution, iso_grpo_round
+from .learning import LearnerBank, apply_update, current_distribution, iso_grpo_round, play_routed
 from .metrics import (
     BoundTerms,
     RoundRecord,
@@ -34,6 +34,7 @@ from .prediction import (
     PredictorConfig,
     generate_contexts,
     predict,
+    predict_run,
     record_and_count,
 )
 

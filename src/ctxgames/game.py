@@ -13,7 +13,6 @@ files store features flat in this order).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -25,6 +24,42 @@ COST_BOUND_TOL = 1e-9
 
 class GameSpecError(ValueError):
     """Raised when a game definition violates a structural invariant."""
+
+
+def check_strategies(probs: np.ndarray) -> np.ndarray:
+    """Reject probability vectors (last axis) that are non-finite, negative
+    or do not sum to 1 within SIMPLEX_TOL; return their sums. The pass
+    case makes no array of the input's size (NaN fails every comparison)."""
+    totals = probs.sum(axis=-1)
+    if probs.size and probs.min() >= 0.0 and np.abs(totals - 1.0).max() <= SIMPLEX_TOL:
+        return totals
+    if not np.all(np.isfinite(probs)):
+        raise GameSpecError(f"strategy has non-finite entries: {probs}")
+    if np.any(probs < 0.0):
+        raise GameSpecError(f"strategy has negative entries: {probs}")
+    if probs.size:
+        worst = float(totals.flat[np.argmax(np.abs(totals - 1.0))])
+        raise GameSpecError(f"strategy sums to {worst!r}, outside 1 +/- {SIMPLEX_TOL}")
+    return totals
+
+
+def check_losses(values: np.ndarray) -> None:
+    """Reject loss entries that are non-finite or outside [-1, 1] by more
+    than COST_BOUND_TOL, making no array of the input's size when they pass."""
+    bound = 1.0 + COST_BOUND_TOL
+    if not values.size or (values.min() >= -bound and values.max() <= bound):
+        return
+    if not np.all(np.isfinite(values)):
+        raise GameSpecError(f"loss vector has non-finite entries: {values}")
+    raise GameSpecError(f"loss entries outside [-1, 1]: max |entry| = {np.abs(values).max()!r}")
+
+
+def _adopt(cls, name: str, array: np.ndarray):
+    """Instance of a one-array frozen type around a read-only array that has
+    already passed its bulk check: no copy, no renormalization."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, name, array)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -41,18 +76,14 @@ class MixedStrategy:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise GameSpecError("strategy must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(probs)):
-            raise GameSpecError(f"strategy has non-finite entries: {probs}")
-        if np.any(probs < 0.0):
-            raise GameSpecError(f"strategy has negative entries: {probs}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise GameSpecError(
-                f"strategy sums to {total!r}, outside 1 +/- {SIMPLEX_TOL}"
-            )
-        probs = probs / total
+        probs = probs / float(check_strategies(probs))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+
+    @staticmethod
+    def of_checked(probs: np.ndarray) -> "MixedStrategy":
+        """Wrap a read-only row of strategies that passed check_strategies."""
+        return _adopt(MixedStrategy, "probs", probs)
 
     @property
     def num_actions(self) -> int:
@@ -99,14 +130,14 @@ class LossVector:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise GameSpecError("loss vector must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise GameSpecError(f"loss vector has non-finite entries: {values}")
-        if np.any(np.abs(values) > 1.0 + COST_BOUND_TOL):
-            raise GameSpecError(
-                f"loss entries outside [-1, 1]: max |entry| = {np.abs(values).max()!r}"
-            )
+        check_losses(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def of_checked(values: np.ndarray) -> "LossVector":
+        """Wrap a read-only row of losses that passed check_losses."""
+        return _adopt(LossVector, "values", values)
 
     @property
     def num_actions(self) -> int:
@@ -254,6 +285,33 @@ def loss_vector(spec: GameSpec, player: int, opponents, context: int) -> LossVec
     return LossVector(phi.T @ z)
 
 
+def loss_contraction(spec: GameSpec, player: int):
+    """`loss_vector` for one player, set up once per run.
+
+    Returns f(strategies, context_vector) -> (K,) losses, where
+    strategies is a (J, K) array of every player's play (the player's own
+    row is ignored). It repeats the arithmetic of `loss_vector` bit for
+    bit: the first opponent axis is contracted with the operand
+    `np.tensordot` builds (for players >= 1 a strided view, which must not
+    be made contiguous: `np.dot` rounds differently on a copy), and any
+    further opponents go through `np.tensordot` itself.
+    """
+    _check_player(spec, player)
+    J, K, d = spec.num_players, spec.num_actions, spec.feature_dim
+    tensor = np.moveaxis(spec.feature_tensor(player), player, 0)
+    first = tensor.transpose([0, *range(2, J + 1), 1]).reshape(-1, K)
+    shape = (K,) * (J - 1) + (d,)
+    lead, *rest = [i for i in range(J) if i != player]
+
+    def losses(strategies: np.ndarray, context_vector: np.ndarray) -> np.ndarray:
+        phi = np.dot(first, strategies[lead].reshape(K, 1)).reshape(shape)
+        for i in rest:
+            phi = np.tensordot(phi, strategies[i], axes=([1], [0]))
+        return phi @ context_vector
+
+    return losses
+
+
 def expected_cost(spec: GameSpec, player: int, profile: JointProfile, context: int) -> float:
     """Expected cost of `player` under the full joint profile at `context`,
     by exact enumeration over all K**J joint actions."""
@@ -315,8 +373,3 @@ def load_game_file(path) -> GameSpec:
     with open(path) as fh:
         data = json.load(fh)
     return game_from_dict(data)
-
-
-def all_joint_actions(num_players: int, num_actions: int):
-    """Joint actions in lexicographic order (player 0 most significant)."""
-    return itertools.product(range(num_actions), repeat=num_players)

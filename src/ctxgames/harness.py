@@ -22,24 +22,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import GameSpec, GameSpecError, game_from_dict, game_to_dict, load_game_file
-from .learning import LearnerBank, iso_grpo_round
+from .game import GameSpec, GameSpecError, game_from_dict, load_game_file
+from .learning import play_routed
 from .metrics import (
     MetricsError,
-    RoundRecord,
     RunMetrics,
     best_per_context_comparator,
     compute_run_metrics,
     eta_rule,
+    records_from_arrays,
 )
 from .prediction import (
     ContextProcessConfig,
-    MistakeLedger,
     PredictionError,
     PredictorConfig,
     generate_contexts,
-    predict,
-    record_and_count,
+    predict_run,
 )
 
 SCHEMA_VERSION = 1
@@ -279,18 +277,10 @@ def _validate_against_game(config: RunConfig) -> None:
             pred.validate(spec.num_contexts, config.horizon)
         except PredictionError as exc:
             raise ConfigError(f"predictors[{i}]: {exc}") from exc
-    if config.context_process.kind == "markov":
-        matrix = np.asarray(config.context_process.transition, dtype=np.float64)
-        m = spec.num_contexts
-        if matrix.shape != (m, m):
-            raise ConfigError(
-                f"context_process.transition: must be {m}x{m}, got {matrix.shape}"
-            )
-        if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
-            raise ConfigError("context_process.transition: rows must sum to 1 within 1e-9")
-    if config.context_process.kind == "script":
-        if len(config.context_process.sequence) < config.horizon:
-            raise ConfigError("context_process.sequence: shorter than horizon")
+    try:
+        config.context_process.validate(spec.num_contexts, config.horizon)
+    except PredictionError as exc:
+        raise ConfigError(f"context_process.{exc}") from exc
 
 
 def _broadcast_predictors(config: RunConfig, spec: GameSpec) -> tuple:
@@ -346,28 +336,18 @@ def _effective_process(process: ContextProcessConfig, run_seed: int) -> ContextP
 
 
 def simulate(spec: GameSpec, horizon: int, eta: float, contexts_seq,
-             predictors) -> tuple[list, MistakeLedger, LearnerBank]:
-    """Drive the round loop and return (trace, ledger, final bank)."""
-    J = spec.num_players
-    m = spec.num_contexts
-    bank = LearnerBank.fresh(J, m, spec.num_actions, eta)
-    ledger = MistakeLedger(horizon, J)
-    trace = []
-    for t in range(horizon):
-        z = int(contexts_seq[t])
-        history = contexts_seq[:t]
-        preds = [predict(predictors[j], j, t, z, history, m) for j in range(J)]
-        for j in range(J):
-            record_and_count(ledger, t, j, preds[j], z)
-        profile, losses, bank = iso_grpo_round(bank, preds, z, spec)
-        trace.append(RoundRecord(
-            round_index=t,
-            realized_context=z,
-            predictions=tuple(preds),
-            strategies=profile,
-            losses=tuple(losses),
-        ))
-    return trace, ledger, bank
+             predictors) -> tuple[list, tuple]:
+    """Play one run and return (trace, per-player mistake counts).
+
+    Every round's predictions are made up front from the context sequence,
+    then the round kernel plays all rounds on in-place learner state; the
+    trace wraps the kernel's arrays without copying them.
+    """
+    contexts = np.asarray(contexts_seq[:horizon], dtype=np.int64)
+    predictions = predict_run(predictors, contexts, spec.num_contexts)
+    strategies, losses = play_routed(spec, eta, contexts, predictions)
+    mistakes = tuple(int(v) for v in (predictions != contexts[:, None]).sum(axis=0))
+    return records_from_arrays(contexts, predictions, strategies, losses), mistakes
 
 
 def _pick_eta(config: RunConfig, spec: GameSpec, contexts_seq, predictors):
@@ -375,7 +355,7 @@ def _pick_eta(config: RunConfig, spec: GameSpec, contexts_seq, predictors):
     step-size rule to the measured mistake and variation totals."""
     if config.eta != "rule":
         return float(config.eta), None
-    pilot_trace, _, _ = simulate(spec, config.horizon, 1.0, contexts_seq, predictors)
+    pilot_trace, _ = simulate(spec, config.horizon, 1.0, contexts_seq, predictors)
     pilot = compute_run_metrics(pilot_trace, 1.0, spec.num_contexts, config.horizon)
     mean_mistakes = float(np.mean(pilot.mistakes))
     mean_sum_var = float(np.mean([sum(v) for v in pilot.variation]))
@@ -398,12 +378,12 @@ def run_single(config: RunConfig, seed: int, out_dir=None, sweep_value=None,
     contexts_seq = generate_contexts(process, spec.num_contexts, config.horizon)
 
     eta, pilot = _pick_eta(config, spec, contexts_seq, predictors)
-    trace, ledger, _ = simulate(spec, config.horizon, eta, contexts_seq, predictors)
+    trace, mistakes = simulate(spec, config.horizon, eta, contexts_seq, predictors)
     run_metrics = compute_run_metrics(trace, eta, spec.num_contexts, config.horizon)
 
-    # Ledger counts and trace-derived counts must agree.
-    if tuple(int(v) for v in ledger.per_player_mistakes) != run_metrics.mistakes:
-        raise MetricsError("mistake ledger disagrees with trace recount")
+    # Kernel counts and trace-derived counts must agree.
+    if mistakes != run_metrics.mistakes:
+        raise MetricsError("mistake counts disagree with trace recount")
 
     trace_path = None
     if write_files:
@@ -445,6 +425,16 @@ def _write_atomic(path: str, text: str) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _start_output(config: RunConfig, out_dir: str) -> None:
+    """Create the output directory and write config_echo.json into it."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_atomic(
+        os.path.join(out_dir, "config_echo.json"),
+        json.dumps({"digest": config_digest(config.raw), "config": config.raw},
+                   sort_keys=True, indent=2) + "\n",
+    )
 
 
 def _trace_csv(trace, run_metrics: RunMetrics) -> str:
@@ -512,6 +502,8 @@ def summary_row(run_id: str, seed, rm: RunMetrics, noise_p: float,
 
 
 def _config_noise_p(predictors) -> float:
+    """Largest noise level among the predictors (broadcasting repeats one
+    entry, so the configured entries suffice)."""
     ps = [p.p for p in predictors if p.kind == "noisy"]
     return max(ps) if ps else 0.0
 
@@ -547,7 +539,7 @@ def _sweep_cell(raw_config: dict, value: float, seed: int, out_dir: str):
         run_id = _run_id(cell, seed, sweep_value=value)
         _, rm, _ = run_single(cell, seed, out_dir=out_dir, sweep_value=value)
         noise_p = value if (config.sweep and config.sweep.axis == "p") \
-            else _config_noise_p(_broadcast_predictors(cell, cell.resolve_game()))
+            else _config_noise_p(cell.predictors)
         return value, seed, summary_row(run_id, seed, rm, noise_p, sweep_value=value), None
     except (ConfigError, MetricsError, GameSpecError, PredictionError,
             ValueError, OSError) as exc:
@@ -564,12 +556,7 @@ def run_sweep(config: RunConfig, threads: int = 1):
     if config.sweep is None:
         raise ConfigError("sweep: config has no sweep axis")
     out_dir = config.output
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(
-        os.path.join(out_dir, "config_echo.json"),
-        json.dumps({"digest": config_digest(config.raw), "config": config.raw},
-                   sort_keys=True, indent=2) + "\n",
-    )
+    _start_output(config, out_dir)
 
     cells = [(value, seed) for value in config.sweep.values for seed in config.seeds]
     results = {}
@@ -631,19 +618,12 @@ def run_command(config: RunConfig, seed=None, out_dir=None):
     """Single-run entry point used by the CLI run verb; also writes a
     one-row summary.csv next to the trace."""
     out_dir = out_dir or config.output
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(
-        os.path.join(out_dir, "config_echo.json"),
-        json.dumps({"digest": config_digest(config.raw), "config": config.raw},
-                   sort_keys=True, indent=2) + "\n",
-    )
+    _start_output(config, out_dir)
     seed = config.seeds[0] if seed is None else int(seed)
-    spec = config.resolve_game()
     trace_path, rm, _ = run_single(config, seed, out_dir=out_dir)
     run_id = _run_id(config, seed)
-    header = summary_header(spec.num_players, spec.num_contexts)
-    noise_p = _config_noise_p(_broadcast_predictors(config, spec))
-    row = summary_row(run_id, seed, rm, noise_p)
+    header = summary_header(rm.num_players, rm.num_contexts)
+    row = summary_row(run_id, seed, rm, _config_noise_p(config.predictors))
     text = ",".join(header) + "\n" + ",".join(_fmt(v) for v in row) + "\n"
     _write_atomic(os.path.join(out_dir, "summary.csv"), text)
     return trace_path, rm

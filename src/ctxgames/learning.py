@@ -12,6 +12,11 @@ computed in log space. The hint is the last loss observed within the same
 context (zero before the first update), which makes the update an
 optimistic multiplicative-weights step whose stability cost is driven by
 consecutive within-context loss differences.
+
+`play_routed` plays a whole run on private (J, m, K) cumulative-loss and
+hint arrays updated in place. `LearnerBank` with `current_distribution`,
+`apply_update` and `iso_grpo_round` is the immutable per-round API over
+the same two steps, `hedge_weights` and `route_update`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import COST_BOUND_TOL, GameSpec, JointProfile, LossVector, MixedStrategy
+from .game import (
+    COST_BOUND_TOL,
+    GameSpec,
+    JointProfile,
+    LossVector,
+    MixedStrategy,
+    check_losses,
+    check_strategies,
+    loss_contraction,
+)
 from .game import loss_vector as game_loss_vector
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+
+
+def hedge_weights(eta: float, cum_loss: np.ndarray, hint: np.ndarray) -> np.ndarray:
+    """Optimistic-hedge distribution of one or more learners (actions on the
+    last axis), in log space with max-subtraction so arbitrarily long
+    horizons cannot overflow."""
+    logits = -eta * (cum_loss + hint)
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def route_update(cum_loss: np.ndarray, hint: np.ndarray, players,
+                 realized_context: int, losses: np.ndarray) -> None:
+    """Feed losses to the realized context's learners of `players` (an
+    index or a slice), in place: add them into the cumulative loss and
+    reset the optimism hint to them."""
+    cum_loss[players, realized_context] += losses
+    hint[players, realized_context] = losses
 
 
 @dataclass(frozen=True)
@@ -44,8 +82,7 @@ class LearnerBank:
     updates: np.ndarray = field(repr=False)   # (J, m) int64
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        _check_eta(self.eta)
         for name in ("cum_loss", "hint", "updates"):
             arr = getattr(self, name)
             arr.setflags(write=False)
@@ -123,13 +160,10 @@ class LearnerBank:
 
 
 def current_distribution(bank: LearnerBank, player: int, context: int) -> MixedStrategy:
-    """Optimistic-hedge distribution of one learner, in log space with
-    max-subtraction so arbitrarily long horizons cannot overflow."""
+    """Optimistic-hedge distribution of one learner."""
     bank._check_indices(player, context)
-    logits = -bank.eta * (bank.cum_loss[player, context] + bank.hint[player, context])
-    logits = logits - logits.max()
-    weights = np.exp(logits)
-    return MixedStrategy(weights / weights.sum())
+    return MixedStrategy(hedge_weights(bank.eta, bank.cum_loss[player, context],
+                                       bank.hint[player, context]))
 
 
 def apply_update(bank: LearnerBank, player: int, realized_context: int, loss: LossVector) -> LearnerBank:
@@ -149,8 +183,7 @@ def apply_update(bank: LearnerBank, player: int, realized_context: int, loss: Lo
     cum = bank.cum_loss.copy()
     hint = bank.hint.copy()
     updates = bank.updates.copy()
-    cum[player, realized_context] += values
-    hint[player, realized_context] = values
+    route_update(cum, hint, player, realized_context, values)
     updates[player, realized_context] += 1
     return LearnerBank(eta=bank.eta, cum_loss=cum, hint=hint, updates=updates)
 
@@ -180,12 +213,46 @@ def iso_grpo_round(bank: LearnerBank, predictions, realized_context: int, spec: 
         opponents = [strategies[i] for i in range(J) if i != j]
         losses.append(game_loss_vector(spec, j, opponents, realized_context))
 
-    cum = bank.cum_loss.copy()
-    hint = bank.hint.copy()
-    updates = bank.updates.copy()
     for j in range(J):
-        cum[j, realized_context] += losses[j].values
-        hint[j, realized_context] = losses[j].values
-        updates[j, realized_context] += 1
-    new_bank = LearnerBank(eta=bank.eta, cum_loss=cum, hint=hint, updates=updates)
-    return profile, losses, new_bank
+        bank = apply_update(bank, j, realized_context, losses[j])
+    return profile, losses, bank
+
+
+def play_routed(spec: GameSpec, eta: float, contexts: np.ndarray,
+                predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every round of a run, on fresh learners: round t routes play through
+    the learners of predictions[t] (shape (J,)) and updates those of
+    contexts[t], exactly as a chain of `iso_grpo_round` calls would.
+
+    Returns (strategies, losses), read-only (T, J, K) arrays, bit-identical
+    to that chain's MixedStrategy and LossVector values. Their checks run
+    once, over the whole run, when play is over.
+    """
+    _check_eta(eta)
+    T, J = predictions.shape
+    K, m = spec.num_actions, spec.num_contexts
+    if J != spec.num_players or contexts.shape != (T,):
+        raise ValueError(f"expected {T} contexts and {spec.num_players} predictions per round")
+    for name, indices in (("context", contexts), ("prediction", predictions)):
+        if indices.size and (indices.min() < 0 or indices.max() >= m):
+            raise IndexError(f"{name} out of range [0, {m})")
+    cum = np.zeros((J, m, K))
+    hint = np.zeros_like(cum)
+    contractions = [loss_contraction(spec, j) for j in range(J)]
+    players = np.arange(J)
+    strategies = np.empty((T, J, K))
+    losses = np.empty((T, J, K))
+    for t, (z, routed) in enumerate(zip(contexts.tolist(), predictions)):
+        w = hedge_weights(eta, cum[players, routed], hint[players, routed])
+        w = w / w.sum(axis=1, keepdims=True)  # MixedStrategy's renormalization
+        strategies[t] = w
+        context_vector = spec.contexts[z]
+        ell = losses[t]
+        for j, contract in enumerate(contractions):
+            ell[j] = contract(w, context_vector)
+        route_update(cum, hint, slice(None), z, ell)
+    check_strategies(strategies)
+    check_losses(losses)
+    strategies.setflags(write=False)
+    losses.setflags(write=False)
+    return strategies, losses

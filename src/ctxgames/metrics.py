@@ -41,6 +41,24 @@ class RoundRecord:
             raise MetricsError("predictions, strategies, and losses must cover the same players")
 
 
+def records_from_arrays(contexts, predictions, strategies, losses) -> list:
+    """The trace of a run held as arrays: contexts (T,), predictions (T, J),
+    and read-only strategies and losses (T, J, K) that passed
+    check_strategies and check_losses. Records hold views of those arrays,
+    not copies."""
+    records = []
+    for t, (z, preds, w, ell) in enumerate(zip(contexts.tolist(), zip(*predictions.T.tolist()),
+                                               strategies, losses)):
+        records.append(RoundRecord(
+            round_index=t,
+            realized_context=z,
+            predictions=preds,
+            strategies=JointProfile(tuple(MixedStrategy.of_checked(row) for row in w)),
+            losses=tuple(LossVector.of_checked(row) for row in ell),
+        ))
+    return records
+
+
 @dataclass(frozen=True)
 class BoundTerms:
     """The three-term regret bound, split out.
@@ -184,7 +202,16 @@ def eta_rule(num_contexts: int, num_actions: int, mistakes: float, sum_variation
 
 
 def cce_epsilon(trace) -> CceResult:
-    """Equilibrium gap of the time-averaged play.
+    """Equilibrium gap of the time-averaged play; see _cce_result."""
+    if not trace:
+        raise MetricsError("cce gap needs at least one round")
+    J = len(trace[0].strategies)
+    return _cce_result([contextual_regret(trace, j) for j in range(J)],
+                       [external_regret(trace, j) for j in range(J)], len(trace))
+
+
+def _cce_result(contextual, external, horizon: int) -> CceResult:
+    """CCE gap and bounds from per-player contextual and external regrets.
 
     Per player: external regret over the whole horizon divided by T;
     epsilon is the max over players. Two aggregate bounds are computed
@@ -196,12 +223,8 @@ def cce_epsilon(trace) -> CceResult:
     dip below the max form when a player's realized regret is negative,
     so its satisfaction is recorded in sum_ok rather than enforced.
     """
-    if not trace:
-        raise MetricsError("cce gap needs at least one round")
-    T = len(trace)
-    J = len(trace[0].strategies)
-    per_player = tuple(external_regret(trace, j) / T for j in range(J))
-    ctx = [contextual_regret(trace, j) / T for j in range(J)]
+    per_player = tuple(e / horizon for e in external)
+    ctx = [c / horizon for c in contextual]
     epsilon = max(per_player)
     bound_sum = float(sum(ctx))
     bound_max = float(max(ctx))
@@ -237,7 +260,7 @@ def compute_run_metrics(trace, eta: float, num_contexts: int, horizon: int) -> R
     bounds = tuple(
         rvu_bound(num_contexts, K, eta, mistakes[j], variation[j]) for j in range(J)
     )
-    cce = cce_epsilon(trace)
+    cce = _cce_result(ctx_regret, ext_regret, horizon)
     avg = tuple(
         tuple(np.mean([r.strategies[j].probs for r in trace], axis=0)) for j in range(J)
     )

@@ -24,8 +24,12 @@ class PredictionError(ValueError):
     """Raised on invalid predictor or context-process configuration."""
 
 
+def _stream_key(seed: int, player_key: int) -> int:
+    return (seed & _MASK64) | ((player_key & _MASK64) << 64)
+
+
 def _round_rng(seed: int, player_key: int, round_index: int) -> np.random.Generator:
-    key = (seed & _MASK64) | ((player_key & _MASK64) << 64)
+    key = _stream_key(seed, player_key)
     return np.random.Generator(np.random.Philox(key=key, counter=round_index << 128))
 
 
@@ -103,6 +107,65 @@ def predict(config: PredictorConfig, player: int, round_index: int,
     raise PredictionError(f"unknown predictor kind {config.kind!r}")
 
 
+def predict_run(predictors, contexts: np.ndarray, num_contexts: int) -> np.ndarray:
+    """Every player's prediction for every round, as a (T, J) array.
+
+    Round t of column j equals predict(predictors[j], j, t, contexts[t],
+    contexts[:t], num_contexts): predictions depend on the context
+    sequence alone, never on play, so a run's can all be made up front.
+    """
+    contexts = np.asarray(contexts, dtype=np.int64)
+    out = np.empty((contexts.shape[0], len(predictors)), dtype=np.int64)
+    for j, config in enumerate(predictors):
+        config.validate(num_contexts, contexts.shape[0])
+        if config.kind == "scripted":
+            out[:, j] = config.sequence[:contexts.shape[0]]
+        elif config.kind == "majority":
+            out[:, j] = _majority(contexts, num_contexts)
+        elif config.kind == "noisy" and config.p > 0.0:
+            out[:, j] = _noisy(config, j, contexts, num_contexts)
+        else:
+            out[:, j] = contexts
+    return out
+
+
+def _majority(contexts: np.ndarray, num_contexts: int) -> list:
+    """Most frequent context of rounds 0..t-1 for each round t, ties to the
+    lowest index, from running counts."""
+    counts = [0] * num_contexts
+    best = 0
+    out = [0]
+    for z in contexts.tolist()[:-1]:
+        counts[z] += 1
+        if counts[z] > counts[best] or (counts[z] == counts[best] and z < best):
+            best = z
+        out.append(best)
+    return out[:contexts.shape[0]]
+
+
+def _noisy(config: PredictorConfig, player: int, contexts: np.ndarray, num_contexts: int) -> list:
+    """Noisy predictions of one player from a single generator on its
+    stream. Resetting the Philox counter to round << 128 before each
+    round's draws gives the draws of _round_rng(seed, player_key, round),
+    since Philox output is a pure function of (key, counter); the reset
+    costs a fraction of building a new generator."""
+    player_key = 0 if config.shared_stream else player + 1
+    bits = np.random.Philox(key=_stream_key(config.seed, player_key))
+    rng = np.random.Generator(bits)
+    state = bits.state  # fresh: empty buffer, counter 0
+    counter = state["state"]["counter"]  # four little-endian 64-bit words
+    out = []
+    for t, z in enumerate(contexts.tolist()):
+        counter[2] = t  # round << 128, for round < 2**64
+        bits.state = state
+        if rng.random() >= config.p:
+            out.append(z)
+        else:
+            other = int(rng.integers(num_contexts - 1))
+            out.append(other if other < z else other + 1)
+    return out
+
+
 class MistakeLedger:
     """Per-round, per-player misprediction flags and counts.
 
@@ -156,28 +219,38 @@ class ContextProcessConfig:
             self, "transition", tuple(tuple(float(x) for x in row) for row in self.transition)
         )
 
+    def validate(self, num_contexts: int, horizon: int) -> None:
+        """Checks that need the game/run shape; messages start with the
+        offending field."""
+        m = num_contexts
+        if self.kind == "markov":
+            matrix = np.asarray(self.transition, dtype=np.float64)
+            if matrix.shape != (m, m):
+                raise PredictionError(f"transition: must be {m}x{m}, got {matrix.shape}")
+            if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
+                raise PredictionError(
+                    "transition: rows must be nonnegative and sum to 1 within 1e-9"
+                )
+        if self.kind == "script":
+            if len(self.sequence) < horizon:
+                raise PredictionError(
+                    f"sequence: has {len(self.sequence)} entries, horizon is {horizon}"
+                )
+            seq = np.asarray(self.sequence[:horizon], dtype=np.int64)
+            if seq.size and (seq.min() < 0 or seq.max() >= m):
+                raise PredictionError(f"sequence: entry out of range [0, {m})")
+
 
 def generate_contexts(process: ContextProcessConfig, num_contexts: int, horizon: int) -> np.ndarray:
     """Realized context indices for rounds 0..horizon-1."""
+    process.validate(num_contexts, horizon)
     m = num_contexts
     if process.kind == "cycle":
         return np.arange(horizon, dtype=np.int64) % m
     if process.kind == "script":
-        if len(process.sequence) < horizon:
-            raise PredictionError(
-                f"context script has {len(process.sequence)} entries, horizon is {horizon}"
-            )
-        seq = np.asarray(process.sequence[:horizon], dtype=np.int64)
-        if seq.size and (seq.min() < 0 or seq.max() >= m):
-            raise PredictionError("context script entry out of range")
-        return seq
+        return np.asarray(process.sequence[:horizon], dtype=np.int64)
     if process.kind == "markov":
-        matrix = np.asarray(process.transition, dtype=np.float64)
-        if matrix.shape != (m, m):
-            raise PredictionError(f"transition matrix must be {m}x{m}, got {matrix.shape}")
-        if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
-            raise PredictionError("transition rows must be nonnegative and sum to 1")
-        cdf = np.cumsum(matrix, axis=1)
+        cdf = np.cumsum(np.asarray(process.transition, dtype=np.float64), axis=1)
         rng = _round_rng(process.seed, 0, 0)
         out = np.empty(horizon, dtype=np.int64)
         state = 0
