@@ -18,6 +18,7 @@ from .metrics import (
     BoundTerms,
     RoundRecord,
     RunMetrics,
+    Trace,
     best_per_context_comparator,
     cce_epsilon,
     compute_run_metrics,

@@ -189,7 +189,7 @@ class GameSpec:
             j, a, z = (int(v) for v in bad[0])
             raise GameSpecError(
                 f"bounded-cost violation at player {j}, joint action {a} "
-                f"{self._joint_action_tuple(a, K, J)}, context {z}: "
+                f"{tuple(int(v) for v in np.unravel_index(a, (K,) * J))}, context {z}: "
                 f"|<feature, context>| = {abs(products[j, a, z])!r} > 1"
             )
 
@@ -199,14 +199,6 @@ class GameSpec:
         contexts.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "contexts", contexts)
-
-    @staticmethod
-    def _joint_action_tuple(index: int, K: int, J: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(J):
-            digits.append(index % K)
-            index //= K
-        return tuple(reversed(digits))
 
     @property
     def num_contexts(self) -> int:

@@ -13,11 +13,11 @@ config act as salts that are mixed with the run seed, so the pair
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,10 +27,11 @@ from .learning import play_routed
 from .metrics import (
     MetricsError,
     RunMetrics,
-    best_per_context_comparator,
+    Trace,
+    _as_arrays,
+    _row_dots,
     compute_run_metrics,
     eta_rule,
-    records_from_arrays,
 )
 from .prediction import (
     ContextProcessConfig,
@@ -42,6 +43,7 @@ from .prediction import (
 
 SCHEMA_VERSION = 1
 FLOAT_FMT = "%.12g"
+CSV_BLOCK = 256  # trace rows formatted at a time, bounding the Python floats alive at once
 
 
 class ConfigError(ValueError):
@@ -92,11 +94,7 @@ def zero_sum_game(actions: int = 2, scale: float = 0.9, seed=None) -> GameSpec:
         np.fill_diagonal(matrix, scale)
     else:
         matrix = np.random.default_rng(seed).uniform(-scale, scale, size=(actions, actions))
-    features = np.empty((2, actions * actions, 1))
-    for a in range(actions):
-        for b in range(actions):
-            features[0, a * actions + b, 0] = matrix[a, b]
-            features[1, a * actions + b, 0] = -matrix[a, b]
+    features = np.stack([matrix, -matrix]).reshape(2, actions * actions, 1)
     return GameSpec(2, actions, 1, features, np.array([[1.0]]))
 
 
@@ -110,17 +108,11 @@ def opposed_contexts_game(actions: int = 3, scale: float = 0.9) -> GameSpec:
     context's learner is therefore visibly costly while within-context
     variation stays exactly zero.
     """
-    dim = actions
-    count = actions * actions
-    features = np.zeros((2, count, dim))
-    for a in range(actions):
-        for b in range(actions):
-            features[0, a * actions + b, a] = 1.0
-            features[1, a * actions + b, b] = 1.0
-    z0 = np.zeros(dim)
+    eye = np.eye(actions)  # joint action a * K + b: player 0 sees e_a, player 1 e_b
+    features = np.stack([np.repeat(eye, actions, axis=0), np.tile(eye, (actions, 1))])
+    z0 = np.zeros(actions)
     z0[0], z0[1] = -scale, scale
-    z1 = -z0
-    return GameSpec(2, actions, dim, features, np.stack([z0, z1]))
+    return GameSpec(2, actions, actions, features, np.stack([z0, -z0]))
 
 
 GENERATORS = {
@@ -128,6 +120,8 @@ GENERATORS = {
     "zero_sum_2p": zero_sum_game,
     "opposed_contexts": opposed_contexts_game,
 }
+# smallest value of each integer generator parameter
+GENERATOR_MINIMUMS = {"players": 2, "actions": 2, "dim": 1, "contexts": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +156,16 @@ def _resolve_game(source: dict) -> GameSpec:
     if "inline" in source:
         return game_from_dict(source["inline"])
     if "generator" in source:
-        params = dict(source["generator"])
-        name = params.pop("name", None)
+        name = _require(source["generator"], "name", "game.generator.")
+        params = {k: v for k, v in source["generator"].items() if k != "name"}
         if name not in GENERATORS:
             raise ConfigError(f"game.generator.name: unknown generator {name!r}")
+        for key, value in params.items():
+            path = f"game.generator.{key}"
+            if key in GENERATOR_MINIMUMS and _number(value, path, integer=True) < GENERATOR_MINIMUMS[key]:
+                raise ConfigError(f"{path}: must be at least {GENERATOR_MINIMUMS[key]}, got {value}")
+            if isinstance(value, bool):
+                raise ConfigError(f"{path}: must be a number, got {value!r}")
         try:
             return GENERATORS[name](**params)
         except TypeError as exc:
@@ -174,9 +174,20 @@ def _resolve_game(source: dict) -> GameSpec:
 
 
 def _require(data: dict, key: str, path: str):
+    """data[key], where `path` (ending in ".") names the object `data`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path[:-1]}: must be an object, got {data!r}")
     if key not in data:
         raise ConfigError(f"{path}{key}: missing required field")
     return data[key]
+
+
+def _number(value, path: str, integer: bool = False):
+    """`value` if it is a JSON number (an integer when `integer`), never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{path}: must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return value
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -184,59 +195,59 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: must be a JSON object")
     version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
 
     game = _require(data, "game", "")
     if not isinstance(game, dict):
         raise ConfigError("game: must be an object")
 
-    horizon = _require(data, "horizon", "")
-    if not isinstance(horizon, int) or horizon < 1:
+    horizon = _number(_require(data, "horizon", ""), "horizon", integer=True)
+    if horizon < 1:
         raise ConfigError(f"horizon: must be a positive integer, got {horizon!r}")
 
     eta = data.get("eta", "rule")
     if eta != "rule":
-        try:
-            eta = float(eta)
-        except (TypeError, ValueError):
-            raise ConfigError(f"eta: must be a number or 'rule', got {eta!r}")
+        eta = float(_number(eta, "eta"))
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"eta: must be in (0, 1], got {eta}")
 
     process_raw = _require(data, "context_process", "")
+    kind = _require(process_raw, "kind", "context_process.")
+    seed = _number(process_raw.get("seed", 0), "context_process.seed", integer=True)
     try:
         process = ContextProcessConfig(
-            kind=_require(process_raw, "kind", "context_process."),
+            kind=kind,
             transition=process_raw.get("transition", ()),
             sequence=process_raw.get("sequence", ()),
-            seed=int(process_raw.get("seed", 0)),
+            seed=seed,
         )
-    except PredictionError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"context_process: {exc}") from exc
 
     predictors_raw = _require(data, "predictors", "")
     if isinstance(predictors_raw, dict):
         predictors_raw = [predictors_raw]
-    if not predictors_raw:
+    if not isinstance(predictors_raw, list) or not predictors_raw:
         raise ConfigError("predictors: must list at least one predictor")
     predictors = []
     for i, entry in enumerate(predictors_raw):
+        path = f"predictors[{i}]"
+        kind = _require(entry, "kind", path + ".")
+        p = float(_number(entry.get("p", 0.0), path + ".p"))
+        seed = _number(entry.get("seed", 0), path + ".seed", integer=True)
         try:
             predictors.append(PredictorConfig(
-                kind=_require(entry, "kind", f"predictors[{i}]."),
-                p=float(entry.get("p", 0.0)),
-                sequence=entry.get("sequence", ()),
-                seed=int(entry.get("seed", 0)),
+                kind=kind, p=p, sequence=entry.get("sequence", ()), seed=seed,
                 shared_stream=bool(entry.get("shared_stream", False)),
             ))
-        except PredictionError as exc:
-            raise ConfigError(f"predictors[{i}]: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     seeds = data.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: must be a nonempty list of integers")
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(_number(s, f"seeds[{i}]", integer=True) for i, s in enumerate(seeds))
 
     sweep = None
     if data.get("sweep") is not None:
@@ -247,21 +258,12 @@ def parse_config(data: dict) -> RunConfig:
         values = _require(sweep_raw, "values", "sweep.")
         if not isinstance(values, list) or not values:
             raise ConfigError("sweep.values: must be a nonempty list")
-        sweep = SweepConfig(axis=axis, values=tuple(float(v) for v in values))
+        sweep = SweepConfig(axis=axis, values=tuple(
+            float(_number(v, f"sweep.values[{i}]")) for i, v in enumerate(values)))
 
-    output = data.get("output", "out")
-
-    config = RunConfig(
-        game=game,
-        horizon=horizon,
-        eta=eta,
-        context_process=process,
-        predictors=tuple(predictors),
-        seeds=seeds,
-        output=str(output),
-        sweep=sweep,
-        raw=data,
-    )
+    config = RunConfig(game=game, horizon=horizon, eta=eta, context_process=process,
+                       predictors=tuple(predictors), seeds=seeds,
+                       output=str(data.get("output", "out")), sweep=sweep, raw=data)
     _validate_against_game(config)
     return config
 
@@ -327,35 +329,25 @@ def _effective_predictor(pred: PredictorConfig, run_seed: int) -> PredictorConfi
 def _effective_process(process: ContextProcessConfig, run_seed: int) -> ContextProcessConfig:
     if process.kind != "markov":
         return process
-    return ContextProcessConfig(
-        kind=process.kind,
-        transition=process.transition,
-        sequence=process.sequence,
-        seed=_mix64(run_seed, process.seed, 0xC0117E),
-    )
+    return replace(process, seed=_mix64(run_seed, process.seed, 0xC0117E))
 
 
-def simulate(spec: GameSpec, horizon: int, eta: float, contexts_seq,
-             predictors) -> tuple[list, tuple]:
-    """Play one run and return (trace, per-player mistake counts).
-
-    Every round's predictions are made up front from the context sequence,
-    then the round kernel plays all rounds on in-place learner state; the
-    trace wraps the kernel's arrays without copying them.
-    """
+def simulate(spec: GameSpec, horizon: int, eta: float, contexts_seq, predictors) -> Trace:
+    """Play one run: every round's predictions first, from the context
+    sequence, then the round kernel on in-place learner state. The trace
+    holds the kernel's arrays without copying them."""
     contexts = np.asarray(contexts_seq[:horizon], dtype=np.int64)
     predictions = predict_run(predictors, contexts, spec.num_contexts)
-    strategies, losses = play_routed(spec, eta, contexts, predictions)
-    mistakes = tuple(int(v) for v in (predictions != contexts[:, None]).sum(axis=0))
-    return records_from_arrays(contexts, predictions, strategies, losses), mistakes
+    return Trace(contexts, predictions, *play_routed(spec, eta, contexts, predictions))
 
 
 def _pick_eta(config: RunConfig, spec: GameSpec, contexts_seq, predictors):
     """Explicit eta, or the two-pass rule: pilot at eta = 1, then apply the
-    step-size rule to the measured mistake and variation totals."""
+    step-size rule to the measured mistake and variation totals. Returns
+    (eta, pilot), pilot being the eta = 1 run's (trace, metrics) or None."""
     if config.eta != "rule":
         return float(config.eta), None
-    pilot_trace, _ = simulate(spec, config.horizon, 1.0, contexts_seq, predictors)
+    pilot_trace = simulate(spec, config.horizon, 1.0, contexts_seq, predictors)
     pilot = compute_run_metrics(pilot_trace, 1.0, spec.num_contexts, config.horizon)
     mean_mistakes = float(np.mean(pilot.mistakes))
     mean_sum_var = float(np.mean([sum(v) for v in pilot.variation]))
@@ -378,12 +370,12 @@ def run_single(config: RunConfig, seed: int, out_dir=None, sweep_value=None,
     contexts_seq = generate_contexts(process, spec.num_contexts, config.horizon)
 
     eta, pilot = _pick_eta(config, spec, contexts_seq, predictors)
-    trace, mistakes = simulate(spec, config.horizon, eta, contexts_seq, predictors)
-    run_metrics = compute_run_metrics(trace, eta, spec.num_contexts, config.horizon)
-
-    # Kernel counts and trace-derived counts must agree.
-    if mistakes != run_metrics.mistakes:
-        raise MetricsError("mistake counts disagree with trace recount")
+    if pilot is not None and eta == 1.0:
+        # The rule kept the pilot's own step size: a second pass would replay it.
+        trace, run_metrics = pilot
+    else:
+        trace = simulate(spec, config.horizon, eta, contexts_seq, predictors)
+        run_metrics = compute_run_metrics(trace, eta, spec.num_contexts, config.horizon)
 
     trace_path = None
     if write_files:
@@ -391,11 +383,11 @@ def run_single(config: RunConfig, seed: int, out_dir=None, sweep_value=None,
         os.makedirs(out_dir, exist_ok=True)
         run_id = _run_id(config, seed, sweep_value)
         trace_path = os.path.join(out_dir, f"trace_{run_id}.csv")
-        _write_atomic(trace_path, _trace_csv(trace, run_metrics))
+        text = _trace_csv(trace, run_metrics)
+        _write_atomic(trace_path, text)
         if pilot is not None:
             pilot_path = os.path.join(out_dir, f"trace_{run_id}_pilot.csv")
-            pilot_metrics = pilot[1]
-            _write_atomic(pilot_path, _trace_csv(pilot[0], pilot_metrics))
+            _write_atomic(pilot_path, text if pilot[0] is trace else _trace_csv(*pilot))
     return trace_path, run_metrics, trace
 
 
@@ -421,10 +413,17 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a temp file private to this process and thread, then
+    rename it over `path`, so concurrent writers of one path never share
+    a temp file and no temp file outlives the call."""
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _start_output(config: RunConfig, out_dir: str) -> None:
@@ -438,34 +437,30 @@ def _start_output(config: RunConfig, out_dir: str) -> None:
 
 
 def _trace_csv(trace, run_metrics: RunMetrics) -> str:
-    J = run_metrics.num_players
-    K = run_metrics.num_actions
-    comparators = {}
-    for z in range(run_metrics.num_contexts):
-        comparators[z] = [best_per_context_comparator(trace, j, z) for j in range(J)]
+    """Trace CSV text: one row per round, each made by one `%` on a
+    prebuilt row format from a block of the run's columns stacked into
+    float64 (counts and flags are exact in it). inst_regret is taken
+    against the metric pass's per-context comparators."""
+    contexts, predictions, strategies, losses = _as_arrays(trace)
+    T, J, K = strategies.shape
+    best = np.asarray(run_metrics.comparators)
+    point_masses = np.eye(K)
 
     header = ["t", "Z"]
+    columns = [np.arange(1, T + 1), contexts]
     for j in range(J):
-        header.append(f"zhat_p{j}")
-        header.append(f"miss_p{j}")
-        header.extend(f"w_p{j}_a{k}" for k in range(K))
-        header.extend(f"l_p{j}_a{k}" for k in range(K))
-        header.append(f"inst_regret_p{j}")
+        header += [f"zhat_p{j}", f"miss_p{j}", *(f"w_p{j}_a{k}" for k in range(K)),
+                   *(f"l_p{j}_a{k}" for k in range(K)), f"inst_regret_p{j}"]
+        inst = _row_dots(strategies[:, j] - point_masses[best[j, contexts]], losses[:, j])
+        columns += [predictions[:, j], predictions[:, j] != contexts,
+                    strategies[:, j], losses[:, j], inst]
+    row = "%d,%d" + ",".join(["", "%d", "%d"] + [FLOAT_FMT] * (2 * K + 1)) * J
 
-    lines = [",".join(header)]
-    for r in trace:
-        row = [str(r.round_index + 1), str(r.realized_context)]
-        for j in range(J):
-            pred = r.predictions[j]
-            row.append(str(pred))
-            row.append("1" if pred != r.realized_context else "0")
-            row.extend(_fmt(x) for x in r.strategies[j].probs)
-            row.extend(_fmt(x) for x in r.losses[j].values)
-            comp = comparators[r.realized_context][j]
-            inst = float(np.dot(r.strategies[j].probs - comp.probs, r.losses[j].values))
-            row.append(_fmt(inst))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    blocks = [",".join(header)]
+    for start in range(0, T, CSV_BLOCK):
+        table = np.column_stack([c[start:start + CSV_BLOCK] for c in columns])
+        blocks.append("\n".join([row % values for values in map(tuple, table.tolist())]))
+    return "\n".join(blocks) + "\n"
 
 
 def summary_header(num_players: int, num_contexts: int) -> list:
@@ -520,15 +515,10 @@ def apply_sweep_value(config: RunConfig, value: float) -> RunConfig:
         if not 0.0 < value <= 1.0:
             raise ConfigError(f"sweep.values: eta {value} outside (0, 1]")
         return replace(config, eta=float(value))
-    patched = []
-    for pred in config.predictors:
-        if pred.kind == "noisy":
-            patched.append(replace(pred, p=float(value)))
-        else:
-            patched.append(pred)
-    if not any(p.kind == "noisy" for p in patched):
+    if not any(p.kind == "noisy" for p in config.predictors):
         raise ConfigError("sweep.axis 'p' requires at least one noisy predictor")
-    return replace(config, predictors=tuple(patched))
+    return replace(config, predictors=tuple(
+        replace(p, p=float(value)) if p.kind == "noisy" else p for p in config.predictors))
 
 
 def _sweep_cell(raw_config: dict, value: float, seed: int, out_dir: str):
@@ -559,20 +549,15 @@ def run_sweep(config: RunConfig, threads: int = 1):
     _start_output(config, out_dir)
 
     cells = [(value, seed) for value in config.sweep.values for seed in config.seeds]
-    results = {}
+    args = [(config.raw, value, seed, out_dir) for value, seed in cells]
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_sweep_cell, config.raw, value, seed, out_dir): (value, seed)
-                for value, seed in cells
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                value, seed, row, error = fut.result()
-                results[(value, seed)] = (row, error)
+        # imported here: it pulls in logging, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(_sweep_cell, *zip(*args)))
     else:
-        for value, seed in cells:
-            value, seed, row, error = _sweep_cell(config.raw, value, seed, out_dir)
-            results[(value, seed)] = (row, error)
+        outcomes = [_sweep_cell(*cell_args) for cell_args in args]
+    results = {(value, seed): (row, error) for value, seed, row, error in outcomes}
 
     spec = config.resolve_game()
     header = summary_header(spec.num_players, spec.num_contexts)
@@ -592,22 +577,17 @@ def run_sweep(config: RunConfig, threads: int = 1):
     # Per-value mean / stderr block over seeds, numeric columns only.
     for value in config.sweep.values:
         rows = numeric_rows.get(value, [])
-        if not rows:
-            continue
-        for stat in ("mean", "stderr"):
+        for stat in ("mean", "stderr") if rows else ():
             agg = [f"{stat}[{_fmt(value)}]", ""]
             for col in range(2, len(header) - 1):
                 values = [r[col] for r in rows]
-                if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in values):
-                    arr = np.asarray([float(v) for v in values])
-                    if stat == "mean":
-                        agg.append(arr.mean())
-                    else:
-                        agg.append(arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0)
-                else:
+                if not all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in values):
                     agg.append("")
-            agg.append(f"agg_{stat}")
-            lines.append(",".join(_fmt(v) for v in agg))
+                    continue
+                arr = np.asarray([float(v) for v in values])
+                agg.append(arr.mean() if stat == "mean" else
+                           arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0)
+            lines.append(",".join(_fmt(v) for v in agg + [f"agg_{stat}"]))
 
     summary_path = os.path.join(out_dir, "summary.csv")
     _write_atomic(summary_path, "\n".join(lines) + "\n")

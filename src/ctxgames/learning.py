@@ -126,37 +126,17 @@ class LearnerBank:
 
     def to_snapshot(self) -> dict:
         """JSON-ready snapshot; floats round-trip exactly through repr."""
-        return {
-            "eta": self.eta,
-            "states": [
-                [
-                    {
-                        "cumulative_loss": list(self.cum_loss[j, z]),
-                        "hint": list(self.hint[j, z]),
-                        "updates": int(self.updates[j, z]),
-                    }
-                    for z in range(self.num_contexts)
-                ]
-                for j in range(self.num_players)
-            ],
-        }
+        return {"eta": self.eta, "states": [
+            [{"cumulative_loss": list(self.cum_loss[j, z]), "hint": list(self.hint[j, z]),
+              "updates": int(self.updates[j, z])} for z in range(self.num_contexts)]
+            for j in range(self.num_players)]}
 
     @staticmethod
     def from_snapshot(data: dict) -> "LearnerBank":
-        states = data["states"]
-        J = len(states)
-        m = len(states[0])
-        K = len(states[0][0]["cumulative_loss"])
-        cum = np.empty((J, m, K))
-        hint = np.empty((J, m, K))
-        updates = np.empty((J, m), dtype=np.int64)
-        for j in range(J):
-            for z in range(m):
-                cell = states[j][z]
-                cum[j, z] = cell["cumulative_loss"]
-                hint[j, z] = cell["hint"]
-                updates[j, z] = cell["updates"]
-        return LearnerBank(eta=float(data["eta"]), cum_loss=cum, hint=hint, updates=updates)
+        def column(name: str, dtype=np.float64) -> np.ndarray:
+            return np.array([[cell[name] for cell in row] for row in data["states"]], dtype=dtype)
+        return LearnerBank(eta=float(data["eta"]), cum_loss=column("cumulative_loss"),
+                           hint=column("hint"), updates=column("updates", np.int64))
 
 
 def current_distribution(bank: LearnerBank, player: int, context: int) -> MixedStrategy:

@@ -1,15 +1,17 @@
 """Regret, variation, bound, and equilibrium-gap computations over traces.
 
-A trace is the list of per-round records a run produced. All quantities
-here are pure functions of the trace: per-context comparators, contextual
-and external regret, within-context variation, the three-term regret
-bound with its step-size rule, and the coarse-correlated-equilibrium gap
-of the time-averaged play.
+A trace is a run's rounds: a `Trace` over the run's arrays, or any list of
+`RoundRecord`s. All quantities here are pure functions of the trace,
+computed on its arrays: per-context comparators, contextual and external
+regret, within-context variation, the three-term regret bound with its
+step-size rule, and the coarse-correlated-equilibrium gap of the
+time-averaged play.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,22 +43,99 @@ class RoundRecord:
             raise MetricsError("predictions, strategies, and losses must cover the same players")
 
 
-def records_from_arrays(contexts, predictions, strategies, losses) -> list:
-    """The trace of a run held as arrays: contexts (T,), predictions (T, J),
-    and read-only strategies and losses (T, J, K) that passed
-    check_strategies and check_losses. Records hold views of those arrays,
-    not copies."""
-    records = []
-    for t, (z, preds, w, ell) in enumerate(zip(contexts.tolist(), zip(*predictions.T.tolist()),
-                                               strategies, losses)):
-        records.append(RoundRecord(
+class Trace(Sequence):
+    """A run's rounds held as its arrays: realized contexts (T,),
+    predictions (T, J), and strategies and losses (T, J, K) that passed
+    check_strategies and check_losses. The arrays are made read-only.
+    Indexing or iterating builds RoundRecords whose strategies and losses
+    view the arrays' rows; nothing is kept per round."""
+
+    __slots__ = ("contexts", "predictions", "strategies", "losses")
+
+    def __init__(self, contexts, predictions, strategies, losses):
+        for name, array in zip(self.__slots__, (contexts, predictions, strategies, losses)):
+            array.setflags(write=False)
+            setattr(self, name, array)
+
+    def __len__(self) -> int:
+        return self.contexts.shape[0]
+
+    def __getitem__(self, t: int) -> RoundRecord:
+        t = range(len(self))[t]  # negative indices count from the end; IndexError past it
+        return RoundRecord(
             round_index=t,
-            realized_context=z,
-            predictions=preds,
-            strategies=JointProfile(tuple(MixedStrategy.of_checked(row) for row in w)),
-            losses=tuple(LossVector.of_checked(row) for row in ell),
-        ))
-    return records
+            realized_context=int(self.contexts[t]),
+            predictions=self.predictions[t].tolist(),
+            strategies=JointProfile(tuple(map(MixedStrategy.of_checked, self.strategies[t]))),
+            losses=tuple(map(LossVector.of_checked, self.losses[t])),
+        )
+
+
+def _as_arrays(trace) -> tuple:
+    """(contexts, predictions, strategies, losses) of a trace: a Trace's
+    own arrays, or stacked from a list of RoundRecords."""
+    if isinstance(trace, Trace):
+        return trace.contexts, trace.predictions, trace.strategies, trace.losses
+    if not len(trace):
+        raise MetricsError("trace has no rounds")
+    return (np.array([r.realized_context for r in trace], dtype=np.int64),
+            np.array([r.predictions for r in trace], dtype=np.int64),
+            np.array([[w.probs for w in r.strategies.strategies] for r in trace]),
+            np.array([[ell.values for ell in r.losses] for r in trace]))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis), each rounded as np.dot
+    rounds one pair of vectors; einsum and (a * b).sum(-1) round some rows
+    differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _left_sum(values: np.ndarray) -> float:
+    """Float sum in index order, as a Python `total += v` loop makes it."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _context_summary(losses: np.ndarray) -> tuple[int, float]:
+    """Best fixed action and within-context variation of one (player,
+    context) subsequence from a contiguous copy of its (n, K) losses.
+
+    The summed-loss objective is linear over the simplex, so the point
+    mass on the action with the smallest summed loss (ties to the lowest
+    index) is a best fixed mixed strategy; an empty subsequence maps to
+    action 0 (it contributes zero regret either way).
+    """
+    n = losses.shape[0]
+    best = int(np.argmin(losses.sum(axis=0))) if n else 0
+    variation = float(np.abs(np.diff(losses, axis=0)).max(axis=1).sum()) if n > 1 else 0.0
+    return best, variation
+
+
+def _regret_pass(contexts, strategies, losses, num_contexts: int) -> tuple:
+    """(best actions (J, m), variations (J, m), contextual regrets,
+    external regrets): everything the per-context comparators give."""
+    J = losses.shape[1]
+    best = np.zeros((J, num_contexts), dtype=np.int64)
+    variation = np.zeros((J, num_contexts))
+    for z in range(num_contexts):
+        rows = contexts == z
+        for j in range(J):
+            best[j, z], variation[j, z] = _context_summary(losses[rows, j])
+    contextual, external = [], []
+    for j in range(J):
+        ell = losses[:, j]
+        played = _row_dots(strategies[:, j], ell)
+        # a point-mass comparator's cost is exactly the loss entry it selects
+        contextual.append(_left_sum(played - ell[np.arange(ell.shape[0]), best[j, contexts]]))
+        # column sums over a contiguous copy, laid out as stacked rows are
+        external.append(_left_sum(played) - float(np.ascontiguousarray(ell).sum(axis=0).min()))
+    return best, variation, tuple(contextual), tuple(external)
+
+
+def _trace_regrets(trace) -> tuple:
+    """(contextual, external) regrets of every player of a trace."""
+    contexts, _, strategies, losses = _as_arrays(trace)
+    return _regret_pass(contexts, strategies, losses, int(contexts.max()) + 1)[2:]
 
 
 @dataclass(frozen=True)
@@ -109,66 +188,35 @@ class RunMetrics:
     cce_bound_max: float
     cce_sum_ok: bool
     average_strategies: tuple[tuple[float, ...], ...] = field(repr=False)
-
-
-def _losses_for(trace, player, context=None) -> np.ndarray:
-    rows = [
-        r.losses[player].values
-        for r in trace
-        if context is None or r.realized_context == context
-    ]
-    if not rows:
-        return np.zeros((0, 0))
-    return np.stack(rows)
+    # best fixed action per [player][context], 0 where a context never
+    # occurs: the comparators of contextual regret and of the trace CSV
+    comparators: tuple[tuple[int, ...], ...] = field(repr=False)
 
 
 def best_per_context_comparator(trace, player: int, context: int) -> MixedStrategy:
-    """Best fixed mixed strategy for one context's subsequence.
-
-    The summed-loss objective is linear over the simplex, so a minimizing
-    vertex exists: the point mass on the action with the smallest summed
-    loss, ties to the lowest index. An empty subsequence maps to action 0
-    (it contributes zero regret either way).
-    """
-    losses = _losses_for(trace, player, context)
-    if losses.size == 0:
-        num_actions = trace[0].losses[player].num_actions if trace else 2
-        return MixedStrategy.point_mass(0, num_actions)
-    summed = losses.sum(axis=0)
-    return MixedStrategy.point_mass(int(np.argmin(summed)), summed.shape[0])
+    """Best fixed mixed strategy for one context's subsequence (see
+    _context_summary)."""
+    contexts, _, _, losses = _as_arrays(trace)
+    best, _ = _context_summary(losses[contexts == context, player])
+    return MixedStrategy.point_mass(best, losses.shape[2])
 
 
 def contextual_regret(trace, player: int) -> float:
     """Realized cost minus the per-context comparators' cost, summed over
     the whole trace."""
-    total = 0.0
-    contexts = sorted({r.realized_context for r in trace})
-    comparators = {z: best_per_context_comparator(trace, player, z) for z in contexts}
-    for r in trace:
-        ell = r.losses[player].values
-        played = float(np.dot(r.strategies[player].probs, ell))
-        total += played - float(np.dot(comparators[r.realized_context].probs, ell))
-    return total
+    return _trace_regrets(trace)[0][player]
 
 
 def external_regret(trace, player: int) -> float:
     """Regret against the best single action over the whole horizon."""
-    losses = _losses_for(trace, player)
-    if losses.size == 0:
-        return 0.0
-    played = sum(
-        float(np.dot(r.strategies[player].probs, r.losses[player].values)) for r in trace
-    )
-    return played - float(losses.sum(axis=0).min())
+    return _trace_regrets(trace)[1][player]
 
 
 def within_context_variation(trace, player: int, context: int) -> float:
     """Sum of sup-norm differences between consecutive loss vectors on one
     context's subsequence; 0 for subsequences of length <= 1."""
-    losses = _losses_for(trace, player, context)
-    if losses.shape[0] <= 1:
-        return 0.0
-    return float(np.abs(np.diff(losses, axis=0)).max(axis=1).sum())
+    contexts, _, _, losses = _as_arrays(trace)
+    return _context_summary(losses[contexts == context, player])[1]
 
 
 def rvu_bound(num_contexts: int, num_actions: int, eta: float,
@@ -203,11 +251,7 @@ def eta_rule(num_contexts: int, num_actions: int, mistakes: float, sum_variation
 
 def cce_epsilon(trace) -> CceResult:
     """Equilibrium gap of the time-averaged play; see _cce_result."""
-    if not trace:
-        raise MetricsError("cce gap needs at least one round")
-    J = len(trace[0].strategies)
-    return _cce_result([contextual_regret(trace, j) for j in range(J)],
-                       [external_regret(trace, j) for j in range(J)], len(trace))
+    return _cce_result(*_trace_regrets(trace), len(trace))
 
 
 def _cce_result(contextual, external, horizon: int) -> CceResult:
@@ -239,31 +283,24 @@ def _cce_result(contextual, external, horizon: int) -> CceResult:
 
 
 def compute_run_metrics(trace, eta: float, num_contexts: int, horizon: int) -> RunMetrics:
-    """All summary metrics for one finished run.
+    """All summary metrics for one finished run, in one pass over its arrays.
 
     Rejects partial traces: the trace must cover exactly `horizon` rounds.
     """
-    if len(trace) != horizon:
-        raise MetricsError(f"trace has {len(trace)} rounds, configured horizon is {horizon}")
-    J = len(trace[0].strategies)
-    K = trace[0].losses[0].num_actions
+    contexts, predictions, strategies, losses = _as_arrays(trace)
+    T, J, K = strategies.shape
+    if T != horizon:
+        raise MetricsError(f"trace has {T} rounds, configured horizon is {horizon}")
 
-    mistakes = tuple(
-        int(sum(1 for r in trace if r.predictions[j] != r.realized_context)) for j in range(J)
-    )
-    variation = tuple(
-        tuple(within_context_variation(trace, j, z) for z in range(num_contexts))
-        for j in range(J)
-    )
-    ctx_regret = tuple(contextual_regret(trace, j) for j in range(J))
-    ext_regret = tuple(external_regret(trace, j) for j in range(J))
+    mistakes = tuple((predictions != contexts[:, None]).sum(axis=0).tolist())
+    best, variation, ctx_regret, ext_regret = _regret_pass(contexts, strategies, losses,
+                                                           num_contexts)
+    variation = tuple(map(tuple, variation.tolist()))
     bounds = tuple(
         rvu_bound(num_contexts, K, eta, mistakes[j], variation[j]) for j in range(J)
     )
     cce = _cce_result(ctx_regret, ext_regret, horizon)
-    avg = tuple(
-        tuple(np.mean([r.strategies[j].probs for r in trace], axis=0)) for j in range(J)
-    )
+    avg = tuple(tuple(np.ascontiguousarray(strategies[:, j]).mean(axis=0)) for j in range(J))
     return RunMetrics(
         horizon=horizon,
         num_players=J,
@@ -282,6 +319,7 @@ def compute_run_metrics(trace, eta: float, num_contexts: int, horizon: int) -> R
         cce_bound_max=cce.bound_max,
         cce_sum_ok=cce.sum_ok,
         average_strategies=avg,
+        comparators=tuple(map(tuple, best.tolist())),
     )
 
 

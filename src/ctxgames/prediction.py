@@ -10,6 +10,7 @@ counter = round), which makes every draw a pure function of
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,13 +251,14 @@ def generate_contexts(process: ContextProcessConfig, num_contexts: int, horizon:
     if process.kind == "script":
         return np.asarray(process.sequence[:horizon], dtype=np.int64)
     if process.kind == "markov":
-        cdf = np.cumsum(np.asarray(process.transition, dtype=np.float64), axis=1)
-        rng = _round_rng(process.seed, 0, 0)
-        out = np.empty(horizon, dtype=np.int64)
+        # One draw per round from one generator; the next state is the first
+        # CDF entry above the draw, clamped to m - 1 against rounding.
+        cdf = np.cumsum(np.asarray(process.transition, dtype=np.float64), axis=1).tolist()
+        draws = _round_rng(process.seed, 0, 0).random(horizon).tolist()
+        out = []
         state = 0
-        for t in range(horizon):
-            out[t] = state
-            state = int(np.searchsorted(cdf[state], rng.random(), side="right"))
-            state = min(state, m - 1)
-        return out
+        for u in draws:
+            out.append(state)
+            state = min(bisect.bisect_right(cdf[state], u), m - 1)
+        return np.array(out, dtype=np.int64)
     raise PredictionError(f"unknown context process kind {process.kind!r}")

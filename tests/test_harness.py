@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ctxgames.cli import main as cli_main
 from ctxgames.game import game_to_dict, loss_vector
 from ctxgames.harness import (
     ConfigError,
+    _write_atomic,
     apply_sweep_value,
     config_digest,
     opposed_contexts_game,
@@ -371,3 +374,94 @@ class TestCli:
         out = capsys.readouterr().out
         assert "oracle-check" not in out
         assert "validate" in out
+
+
+# Malformed configs: each must exit 1 from both verbs with its field path on
+# stderr, never a traceback (which would propagate out of cli_main here).
+MALFORMED = {
+    "horizon_bool": ({"horizon": True}, "horizon"),
+    "eta_bool": ({"eta": True}, "eta"),
+    "eta_string": ({"eta": "fast"}, "eta"),
+    "schema_version_bool": ({"schema_version": True}, "schema_version"),
+    "predictor_not_object": ({"predictors": [3]}, "predictors[0]"),
+    "predictors_not_list": ({"predictors": 3}, "predictors"),
+    "predictor_p_bool": ({"predictors": [{"kind": "noisy", "p": True}]}, "predictors[0].p"),
+    "predictor_seed_string": ({"predictors": [{"kind": "noisy", "p": 0.1, "seed": "x"}]},
+                              "predictors[0].seed"),
+    "predictor_sequence_strings": ({"predictors": [{"kind": "scripted", "sequence": ["a"]}]},
+                                   "predictors[0]"),
+    "seed_string": ({"seeds": ["a"]}, "seeds[0]"),
+    "seed_bool": ({"seeds": [True]}, "seeds[0]"),
+    "seed_fraction": ({"seeds": [1.5]}, "seeds[0]"),
+    "process_not_object": ({"context_process": "cycle"}, "context_process"),
+    "process_seed_bool": ({"context_process": {"kind": "cycle", "seed": False}},
+                          "context_process.seed"),
+    "sweep_value_bool": ({"sweep": {"axis": "p", "values": [True]}}, "sweep.values[0]"),
+    "sweep_not_object": ({"sweep": [0.1]}, "sweep"),
+    "zero_sum_one_action": ({"game": {"generator": {"name": "zero_sum_2p", "actions": 1}},
+                             "predictors": [{"kind": "oracle"}]}, "game.generator.actions"),
+    "generator_players_bool": ({"game": {"generator": {"name": "random_bilinear", "seed": 1,
+                                                       "players": True}}},
+                               "game.generator.players"),
+    "generator_scale_bool": ({"game": {"generator": {"name": "opposed_contexts",
+                                                     "scale": True}}},
+                             "game.generator.scale"),
+    "generator_not_object": ({"game": {"generator": "zero_sum_2p"}}, "game.generator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_1_with_field_path(name, tmp_path, capsys):
+    overrides, field = MALFORMED[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(output=str(tmp_path / "out"), **overrides)))
+    errors = []
+    for verb in ("validate", "run"):
+        assert cli_main([verb, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {field}:" in err and "Traceback" not in err
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_temp_file_left_after_run_and_sweep(tmp_path):
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(base_config(eta="rule", horizon=40,
+                                               output=str(tmp_path / "run"))))
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(base_config(
+        horizon=40, seeds=[1, 1], sweep={"axis": "p", "values": [0.1, 0.1]},
+        output=str(tmp_path / "sweep"))))
+    assert cli_main(["run", "--config", str(run_path)]) == 0
+    assert cli_main(["sweep", "--config", str(sweep_path)]) == 0
+    names = [p.name for p in tmp_path.rglob("*")]
+    assert any(n.endswith("_pilot.csv") for n in names)
+    assert not [n for n in names if n.endswith(".tmp")]
+
+
+def test_concurrent_writers_of_one_path_do_not_share_a_temp_file(tmp_path):
+    target = str(tmp_path / "shared.csv")
+    texts = [f"writer {i}\n" * 2000 for i in range(4)]
+    errors = []
+
+    def write(text):
+        try:
+            for _ in range(30):
+                _write_atomic(target, text)
+        except Exception as exc:  # collected: a shared temp file makes os.replace fail
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-write included
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert open(target).read() in texts
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.csv"]

@@ -7,6 +7,7 @@ from ctxgames.prediction import (
     MistakeLedger,
     PredictionError,
     PredictorConfig,
+    _round_rng,
     generate_contexts,
     predict,
     record_and_count,
@@ -182,6 +183,31 @@ class TestContextProcesses:
         # sticky chain: most transitions stay put
         stays = (a[1:] == a[:-1]).mean()
         assert stays > 0.6
+
+    def test_markov_matches_per_round_searchsorted_loop(self):
+        # the chain as it was once stepped: one rng.random() and one
+        # np.searchsorted per round
+        def stepped(process, m, horizon):
+            cdf = np.cumsum(np.asarray(process.transition, dtype=np.float64), axis=1)
+            rng = _round_rng(process.seed, 0, 0)
+            out = np.empty(horizon, dtype=np.int64)
+            state = 0
+            for t in range(horizon):
+                out[t] = state
+                state = int(np.searchsorted(cdf[state], rng.random(), side="right"))
+                state = min(state, m - 1)
+            return out
+
+        rng = np.random.default_rng(2024)
+        for chain in range(30):
+            m = 2 + chain % 4
+            transition = rng.dirichlet(np.full(m, 0.7), size=m).tolist()
+            process = ContextProcessConfig(kind="markov", transition=transition,
+                                           seed=int(rng.integers(2**63)))
+            horizon = 2000 + 50 * chain
+            got = generate_contexts(process, m, horizon)
+            assert got.dtype == np.int64
+            assert got.tobytes() == stepped(process, m, horizon).tobytes()
 
     def test_markov_row_sum_validation(self):
         process = ContextProcessConfig(kind="markov", transition=((0.9, 0.2), (0.2, 0.8)))
